@@ -12,7 +12,14 @@ provably untouched.
 :class:`DynamicRoutingSession` holds the ``plen``/``parent``/``kind``/
 ``seed`` arrays of :func:`~repro.asgraph.fastpath.compute_routes_fast` as
 *mutable* per-origin state, plus a children index over the parent-pointer
-forest.  On :meth:`~DynamicRoutingSession.exclude_link`:
+forest.  The index is four flat ``array('i')`` buffers of intrusive
+doubly-linked sibling lists (first/last child, next/prev sibling) rather
+than one list per node: a pool of warm sessions then holds a handful of
+GC-tracked containers per session instead of one per AS, so cyclic
+collections stay cheap however many sessions are resident.  It is built on
+the first subtree repair and dropped by every full rebuild, so a session
+that only ever answers queries (or only sees no-op events) never pays for
+it.  On :meth:`~DynamicRoutingSession.exclude_link`:
 
 - a link that is not a parent edge of the forest is a guaranteed no-op
   (removing never-chosen candidates cannot change any per-node minimum):
@@ -49,6 +56,7 @@ changes outside the detached subtree.  The no-op fast paths still apply.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import (
@@ -76,6 +84,9 @@ _PEER = int(RouteKind.PEER)
 _PROVIDER = int(RouteKind.PROVIDER)
 
 _Link = FrozenSet[int]
+
+#: "no node" in the sibling-list buffers
+_NIL = array("i", [-1])
 
 
 @dataclass
@@ -179,7 +190,7 @@ class DynamicRoutingSession:
             return
         self._released = True
         self._undo = None
-        self._children = []
+        self._drop_children()
         self._plen = []
         self._parent = []
         self._kind = bytearray()
@@ -249,17 +260,73 @@ class DynamicRoutingSession:
         self._kind: bytearray = out._kind
         self._seed: List[int] = out._seed
         self._num_routed = len(out)
+        self._drop_children()
+        self._undo = None
+        if count:
+            self.stats.full_rebuilds += 1
+
+    def _drop_children(self) -> None:
+        """Mark the children index unbuilt (all four buffers empty)."""
+        empty = array("i")
+        self._first_child = empty
+        self._last_child = empty
+        self._next_sib = empty
+        self._prev_sib = empty
+
+    def _ensure_children(self) -> None:
+        """Build the sibling-list children index from ``parent`` if unbuilt.
+
+        Children are appended in ascending node order, and every later
+        link appends at the tail, so sibling order is exactly what
+        per-node child lists built the same way would hold.
+        """
+        if self._first_child:
+            return
         n = self._gi.n
-        children: List[List[int]] = [[] for _ in range(n)]
+        first = _NIL * n
+        last = _NIL * n
+        nxt = _NIL * n
+        prev = _NIL * n
         parent = self._parent
         for i in range(n):
             p = parent[i]
             if p >= 0:
-                children[p].append(i)
-        self._children = children
-        self._undo = None
-        if count:
-            self.stats.full_rebuilds += 1
+                tail = last[p]
+                if tail < 0:
+                    first[p] = i
+                else:
+                    nxt[tail] = i
+                    prev[i] = tail
+                last[p] = i
+        self._first_child = first
+        self._last_child = last
+        self._next_sib = nxt
+        self._prev_sib = prev
+
+    def _unlink_child(self, node: int) -> None:
+        """Remove ``node`` from its parent's sibling list (O(1))."""
+        p = self._parent[node]
+        a = self._prev_sib[node]
+        b = self._next_sib[node]
+        if a < 0:
+            self._first_child[p] = b
+        else:
+            self._next_sib[a] = b
+        if b < 0:
+            self._last_child[p] = a
+        else:
+            self._prev_sib[b] = a
+
+    def _append_child(self, node: int, p: int) -> None:
+        """Link ``node`` at the tail of ``p``'s sibling list (O(1))."""
+        tail = self._last_child[p]
+        self._prev_sib[node] = tail
+        self._next_sib[node] = -1
+        if tail < 0:
+            self._first_child[p] = node
+        else:
+            self._next_sib[tail] = node
+        self._last_child[p] = node
 
     def _maybe_rebind(self) -> bool:
         if self.graph.version == self._graph_version:
@@ -433,13 +500,12 @@ class DynamicRoutingSession:
 
     def _apply_undo(self, entries: List[Tuple[int, int, int, int, int]]) -> None:
         """Revert every label change logged by the last subtree repair."""
+        self._ensure_children()
         plen, parent, kind, seed = self._plen, self._parent, self._kind, self._seed
-        children = self._children
         routed_delta = 0
         for node, _pl, _pa, _ki, _se in entries:
-            p = parent[node]
-            if p >= 0:
-                children[p].remove(node)
+            if parent[node] >= 0:
+                self._unlink_child(node)
         for node, pl, pa, ki, se in entries:
             if plen[node]:
                 routed_delta -= 1
@@ -451,7 +517,7 @@ class DynamicRoutingSession:
             seed[node] = se
         for node, _pl, pa, _ki, _se in entries:
             if pa >= 0:
-                children[pa].append(node)
+                self._append_child(node, pa)
         self._num_routed += routed_delta
 
     def _repair_exclude(self, broken: int, link: _Link) -> None:
@@ -467,9 +533,11 @@ class DynamicRoutingSession:
         offer and re-opens the beaten node's subtree, processing it in the
         same global distance-bucket order a fresh run would.
         """
+        self._ensure_children()
         gi = self._gi
         plen, parent, kind, seed = self._plen, self._parent, self._kind, self._seed
-        children = self._children
+        first, last = self._first_child, self._last_child
+        nxt, prev = self._next_sib, self._prev_sib
         asns = gi.asns
         blocked = self._blocked
         scope_of = self._scope_of
@@ -478,18 +546,23 @@ class DynamicRoutingSession:
         cust_start, cust_adj = gi.cust_start, gi.cust_adj
         peer_start, peer_adj = gi.peer_start, gi.peer_adj
 
-        # Detach: collect forest descendants, clear labels, drop child lists
-        # (all children of a detached node are detached with it).
-        children[parent[broken]].remove(broken)
+        # Detach: collect forest descendants, clear labels, empty child
+        # lists (all children of a detached node are detached with it, so
+        # their sibling links go stale unread until ``finalize`` re-links
+        # them).
+        self._unlink_child(broken)
         detached: List[int] = [broken]
         stack = [broken]
         while stack:
             node = stack.pop()
-            kids = children[node]
-            if kids:
-                detached.extend(kids)
-                stack.extend(kids)
-                children[node] = []
+            c = first[node]
+            if c >= 0:
+                first[node] = -1
+                last[node] = -1
+                while c >= 0:
+                    detached.append(c)
+                    stack.append(c)
+                    c = nxt[c]
         undo_log: List[Tuple[int, int, int, int, int]] = [
             (node, plen[node], parent[node], kind[node], seed[node])
             for node in detached
@@ -538,7 +611,15 @@ class DynamicRoutingSession:
             parent[v] = via
             kind[v] = kind_val
             seed[v] = seed[via]
-            children[via].append(v)
+            # _append_child inlined: this runs once per repaired node.
+            tail = last[via]
+            prev[v] = tail
+            nxt[v] = -1
+            if tail < 0:
+                first[via] = v
+            else:
+                nxt[tail] = v
+            last[via] = v
             self._num_routed += 1
             repaired.append(v)
 
@@ -623,16 +704,19 @@ class DynamicRoutingSession:
             node whose label exceeds the current bucket) re-enter the
             bucket queue at lengths >= the current bucket.
             """
-            children[parent[root]].remove(root)
+            self._unlink_child(root)
             sub = [root]
             stack2 = [root]
             while stack2:
                 node = stack2.pop()
-                kids = children[node]
-                if kids:
-                    sub.extend(kids)
-                    stack2.extend(kids)
-                    children[node] = []
+                c = first[node]
+                if c >= 0:
+                    first[node] = -1
+                    last[node] = -1
+                    while c >= 0:
+                        sub.append(c)
+                        stack2.append(c)
+                        c = nxt[c]
             for node in sub:
                 if node not in undo_seen:
                     undo_seen.add(node)

@@ -591,6 +591,7 @@ def _cmd_serve(args: argparse.Namespace) -> ServeResult:
         pool_misses=stats.pool_misses,
         pool_evictions=stats.pool_evictions,
         pool_repairs=stats.pool_repairs,
+        pool_retired=stats.pool_retired,
         follow_windows=churn["windows"],
         follow_events=churn["events"],
     )

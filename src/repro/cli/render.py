@@ -269,7 +269,8 @@ def render_serve(result: ServeResult, plot: bool = False) -> str:
             f"session pool:    epoch {result.epoch}, "
             f"{result.pool_sessions} warm sessions, "
             f"{result.pool_hits} hits, {result.pool_misses} misses, "
-            f"{result.pool_evictions} evictions, {result.pool_repairs} repairs",
+            f"{result.pool_evictions} evictions, {result.pool_retired} retired, "
+            f"{result.pool_repairs} repairs",
             f"churn replay:    {result.follow_windows} windows, "
             f"{result.follow_events} link events",
         ]

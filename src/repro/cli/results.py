@@ -466,6 +466,7 @@ class ServeResult(CommandResult):
     pool_misses: int = 0
     pool_evictions: int = 0
     pool_repairs: int = 0
+    pool_retired: int = 0
     follow_windows: int = 0
     follow_events: int = 0
 
@@ -496,6 +497,7 @@ class ServeResult(CommandResult):
                 "misses": self.pool_misses,
                 "evictions": self.pool_evictions,
                 "repairs": self.pool_repairs,
+                "retired": self.pool_retired,
             },
             "follow": {
                 "windows": self.follow_windows,

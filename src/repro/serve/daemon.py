@@ -77,6 +77,7 @@ class ServeStats:
     pool_misses: int = 0
     pool_evictions: int = 0
     pool_repairs: int = 0
+    pool_retired: int = 0
 
 
 class RoutingDaemon:
@@ -180,6 +181,7 @@ class RoutingDaemon:
             pool_misses=pool.misses,
             pool_evictions=pool.evictions,
             pool_repairs=pool.repairs,
+            pool_retired=pool.retired,
         )
 
     # -- connection handling -------------------------------------------------
@@ -378,6 +380,7 @@ class RoutingDaemon:
                 "misses": stats.pool_misses,
                 "evictions": stats.pool_evictions,
                 "repairs": stats.pool_repairs,
+                "retired": stats.pool_retired,
                 "excluded": sorted(
                     sorted(link) for link in self.pool.excluded_links
                 ),

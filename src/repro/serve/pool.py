@@ -30,7 +30,11 @@ entirely at epoch N+1 — never a torn mix.
 
 Eviction releases a session exactly once: over-cap entries are popped
 from the LRU and ``release()``d so their undo logs and label arrays
-cannot be pinned alive by lingering references.
+cannot be pinned alive by lingering references.  Sessions released for
+other reasons — the duplicate copy retired when two borrowers of one key
+missed at once, and sessions returned after :meth:`SessionPool.close` —
+are released the same way but counted as ``retired``, not as evictions,
+so ``evictions`` measures LRU pressure alone.
 """
 
 from __future__ import annotations
@@ -125,7 +129,11 @@ class PoolStats:
     hits: int
     misses: int
     created: int
+    #: over-cap LRU pops
     evictions: int
+    #: sessions released on return without an LRU pop: a duplicate copy
+    #: of a key already resident, or a return after ``close()``
+    retired: int
     repairs: int
     epoch: int
     excluded_links: int
@@ -178,9 +186,9 @@ class SessionPool:
 
     ``counter_prefix`` names the :mod:`repro.obs` counters
     (``<prefix>.created`` / ``.hits`` / ``.misses`` / ``.evictions`` /
-    ``.repairs`` and the ``<prefix>.epoch`` gauge); the serve tier uses
-    the default ``serve.pool``, the trace engine keeps its historical
-    ``trace.sessions`` names.
+    ``.retired`` / ``.repairs`` and the ``<prefix>.epoch`` gauge); the
+    serve tier uses the default ``serve.pool``, the trace engine keeps its
+    historical ``trace.sessions`` names.
     """
 
     def __init__(
@@ -207,6 +215,7 @@ class SessionPool:
         self.misses = 0
         self.created = 0
         self.evictions = 0
+        self.retired = 0
         self.repairs = 0
 
     # -- introspection -------------------------------------------------------
@@ -236,6 +245,7 @@ class SessionPool:
                 misses=self.misses,
                 created=self.created,
                 evictions=self.evictions,
+                retired=self.retired,
                 repairs=self.repairs,
                 epoch=self._epoch,
                 excluded_links=len(self._excluded),
@@ -320,28 +330,33 @@ class SessionPool:
             self._return(key, session)
 
     def _return(self, key: Tuple[int, ...], session: object) -> None:
-        to_release: List[object] = []
+        retired: Optional[object] = None
+        evicted: List[object] = []
         with self._lock:
             if self._closed or getattr(session, "released", False):
                 if not getattr(session, "released", True):
-                    to_release.append(session)
+                    retired = session
             elif key in self._sessions:
                 # A concurrent borrower of the same key already returned
                 # its session; keep the resident one, retire this copy.
-                to_release.append(session)
+                retired = session
             else:
                 self._sessions[key] = session
                 self._sessions.move_to_end(key)
             while len(self._sessions) > self.cap:
-                _k, evicted = self._sessions.popitem(last=False)
-                to_release.append(evicted)
-            evictions = len(to_release)
-            self.evictions += evictions
-        for evicted in to_release:
-            # Release outside the lock: drops the undo log, children
-            # index, and label arrays exactly once per evicted session.
-            evicted.release()
-            obs.add(f"{self.counter_prefix}.evictions")
+                evicted.append(self._sessions.popitem(last=False)[1])
+            self.evictions += len(evicted)
+            if retired is not None:
+                self.retired += 1
+        # Release outside the lock: drops the undo log, children index and
+        # label arrays exactly once per session leaving the pool.
+        prefix = self.counter_prefix
+        if retired is not None:
+            retired.release()
+            obs.add(f"{prefix}.retired")
+        for victim in evicted:
+            victim.release()
+            obs.add(f"{prefix}.evictions")
 
     # -- churn feed ----------------------------------------------------------
 

@@ -10,8 +10,12 @@ degrading rank and steals an intact provider-kind subtree, including the
 equal-length lower-index tiebreak variant); further tests cover the undo
 fast path, forged-tail/export-scope sessions, graph-mutation recovery, the
 engine session API, and the trace-layer integration (session-backed cache,
-LRU bounds, link reverse index).
+LRU bounds, link reverse index).  Every property step also checks the
+sibling-array children index against one rebuilt from ``parent``, and a
+GC-footprint test keeps per-node containers out of pooled sessions.
 """
+
+import gc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +34,7 @@ from repro.asgraph import (
 )
 from repro.bgpsim.trace import TraceConfig, TraceEngine
 from repro.obs import Recorder
+from repro.serve.pool import SessionPool
 
 
 def assert_matches_fresh(session):
@@ -51,6 +56,55 @@ def assert_matches_fresh(session):
         else:
             assert got is not None and (got.path, got.kind) == (want.path, want.kind)
     assert len(session) == len(fresh)
+
+
+def sibling_walks(session, node):
+    """``node``'s children walked first->next and last->prev."""
+    first, last = session._first_child, session._last_child
+    nxt, prev = session._next_sib, session._prev_sib
+    n = len(first)
+    forward = []
+    c = first[node]
+    while c >= 0:
+        forward.append(c)
+        assert len(forward) <= n, f"sibling cycle under node {node}"
+        c = nxt[c]
+    backward = []
+    c = last[node]
+    while c >= 0:
+        backward.append(c)
+        assert len(backward) <= n, f"sibling cycle under node {node}"
+        c = prev[c]
+    return forward, backward
+
+
+def assert_children_index(session):
+    """The sibling-array children index must mirror ``parent``.
+
+    Rebuilds the index from ``parent`` and checks, per node: the sibling
+    list holds exactly the same children, the backward walk (``last`` then
+    ``prev``) visits them in exactly the reverse of the forward walk
+    (``first`` then ``next``), and every child points back at its parent.
+    Returns False (checking nothing) while the index is unbuilt.
+    """
+    n = len(session._first_child)
+    if not n:
+        return False
+    parent = session._parent
+    assert n == len(parent) == len(session._last_child)
+    assert n == len(session._next_sib) == len(session._prev_sib)
+    want = [[] for _ in range(n)]
+    for i in range(n):
+        if parent[i] >= 0:
+            want[parent[i]].append(i)
+    for node in range(n):
+        forward, backward = sibling_walks(session, node)
+        assert backward == forward[::-1], f"prev/last inconsistent at {node}"
+        assert sorted(forward) == want[node], f"children of {node} diverged"
+        if forward:
+            assert session._prev_sib[forward[0]] == -1
+            assert session._next_sib[forward[-1]] == -1
+    return True
 
 
 def improve_detach_graph(peer_of: int) -> ASGraph:
@@ -182,6 +236,7 @@ class TestEquivalenceProperty:
     @given(
         topo_seed=st.integers(min_value=0, max_value=7),
         origin_index=st.integers(min_value=0, max_value=10 ** 6),
+        initial=st.lists(st.integers(min_value=0, max_value=10 ** 6), max_size=4),
         events=st.lists(
             st.tuples(
                 st.sampled_from(["exclude", "restore", "flap"]),
@@ -192,7 +247,7 @@ class TestEquivalenceProperty:
         ),
     )
     def test_random_event_sequences_match_fresh_compute(
-        self, topo_seed, origin_index, events
+        self, topo_seed, origin_index, initial, events
     ):
         graph = generate_topology(
             TopologyConfig(num_ases=70, num_tier1=3, num_tier2=12, seed=topo_seed)
@@ -203,7 +258,12 @@ class TestEquivalenceProperty:
         )
         asns = sorted(graph.ases)
         origin = asns[origin_index % len(asns)]
-        sess = DynamicRoutingSession(graph, [origin])
+        sess = DynamicRoutingSession(
+            graph,
+            [origin],
+            excluded_links=[links[pick % len(links)] for pick in initial],
+        )
+        assert_matches_fresh(sess)
         for op, pick in events:
             if op == "restore" and sess.excluded_links:
                 link = sorted(sess.excluded_links, key=sorted)[
@@ -213,9 +273,11 @@ class TestEquivalenceProperty:
             elif op == "flap":
                 link = links[pick % len(links)]
                 sess.exclude_link(link)
+                assert_children_index(sess)
                 sess.restore_link(link)
             else:
                 sess.exclude_link(links[pick % len(links)])
+            assert_children_index(sess)
             assert_matches_fresh(sess)
 
     @settings(deadline=None, max_examples=20)
@@ -319,13 +381,25 @@ class TestSessionLifecycle:
     def test_release_drops_state_and_blocks_use(self):
         g = improve_detach_graph(peer_of=1)
         sess = DynamicRoutingSession(g, [1])
-        sess.exclude_link((13, 5))  # populate the undo log
+        sess.exclude_link((13, 5))  # populate the undo log, build the index
         assert sess._undo is not None
+        # Per-node state is whatever the session owns with one slot per AS,
+        # in any layout (the graph and its index are shared, not owned).
+        n = sess._gi.n
+        per_node = [
+            name
+            for name, value in vars(sess).items()
+            if value is not sess.graph
+            and value is not sess._gi
+            and hasattr(value, "__len__")
+            and len(value) == n
+        ]
+        assert len(per_node) >= 5  # four label arrays plus a children index
         sess.release()
         assert sess.released
         assert sess._undo is None
-        assert sess._children == []
-        assert sess._plen == [] and sess._parent == []
+        for name in per_node:
+            assert len(getattr(sess, name)) == 0, name
         sess.release()  # idempotent
         for poke in (
             lambda: sess.path(20),
@@ -350,6 +424,97 @@ class TestSessionLifecycle:
             sess.path(20)
         with pytest.raises(RuntimeError, match="released"):
             sess.exclude_link((13, 5))
+
+
+class TestChildrenIndex:
+    """The lazily built sibling-array children index."""
+
+    def test_index_is_built_on_first_repair_only(self):
+        g = improve_detach_graph(peer_of=1)
+        sess = DynamicRoutingSession(g, [1])
+        assert not assert_children_index(sess)  # queries never build it
+        sess.path(30)
+        assert sess.exclude_link((20, 5))  # never-chosen candidate: no-op
+        assert not assert_children_index(sess)
+        assert sess.exclude_link((13, 5))  # a repair builds it
+        assert assert_children_index(sess)
+        assert_matches_fresh(sess)
+
+    def test_fresh_index_lists_children_in_ascending_order(self):
+        graph = generate_topology(
+            TopologyConfig(num_ases=70, num_tier1=3, num_tier2=12, seed=3)
+        )
+        sess = DynamicRoutingSession(graph, [sorted(graph.ases)[10]])
+        sess._ensure_children()
+        parent = sess._parent
+        for node in range(sess._gi.n):
+            forward, _backward = sibling_walks(sess, node)
+            assert forward == [i for i in range(len(parent)) if parent[i] == node]
+
+    def test_first_event_restore_forces_rebuild(self):
+        g = improve_detach_graph(peer_of=1)
+        sess = DynamicRoutingSession(g, [1], excluded_links=[(13, 5)])
+        assert sess.restore_link((13, 5))  # no undo log: a full rebuild
+        assert sess.stats.full_rebuilds == 1
+        assert not assert_children_index(sess)  # the rebuild leaves it unbuilt
+        assert_matches_fresh(sess)
+        assert sess.exclude_link((13, 5))
+        assert sess.stats.subtree_repairs == 1
+        assert assert_children_index(sess)
+        assert_matches_fresh(sess)
+
+    def test_first_restore_replays_undo(self):
+        g = improve_detach_graph(peer_of=11)
+        sess = DynamicRoutingSession(g, [1])
+        assert sess.exclude_link((13, 5))
+        assert assert_children_index(sess)
+        assert sess.restore_link((13, 5))
+        assert sess.stats.undo_restores == 1
+        assert sess.stats.full_rebuilds == 0
+        assert assert_children_index(sess)
+        assert_matches_fresh(sess)
+        # The replayed index must carry the next repair too.
+        assert sess.exclude_link((12, 13))
+        assert assert_children_index(sess)
+        assert_matches_fresh(sess)
+
+    def test_first_event_improve_detach_cascade(self):
+        for peer_of in (1, 11):
+            g = improve_detach_graph(peer_of)
+            sess = DynamicRoutingSession(g, [1])
+            assert sess.path(20)[:2] == (20, 9)  # outside the broken subtree
+            assert sess.exclude_link((13, 5))
+            # The cascade moved AS20 (and AS30 below it) onto repaired AS5.
+            assert sess.path(20)[:2] == (20, 5)
+            assert sess.path(30)[:3] == (30, 20, 5)
+            assert assert_children_index(sess)
+            assert_matches_fresh(sess)
+
+    @pytest.mark.parametrize("world", ["tiny", "small"])
+    def test_pooled_sessions_add_no_per_node_gc_objects(
+        self, world, tiny_graph, small_scenario
+    ):
+        # Cyclic GC cost grows with the number of tracked containers; a
+        # pooled session must hold a bounded handful of them, however many
+        # ASes it routes over (per-node child lists would add one per AS).
+        graph = tiny_graph if world == "tiny" else small_scenario.graph
+        per_session_cap = 24
+        assert per_session_cap < len(graph.ases)
+        k = 30
+        origins = sorted(graph.ases)[: k + 1]
+        pool = SessionPool(graph, engine=RoutingEngine(), cap=k + 1)
+        with pool.borrow(origins[0]):  # warm the graph index and engine
+            pass
+        gc.collect()
+        before = len(gc.get_objects())
+        for origin in origins[1:]:
+            with pool.borrow(origin) as sess:
+                assert isinstance(sess, DynamicRoutingSession)
+        gc.collect()
+        grown = len(gc.get_objects()) - before
+        assert len(pool) == k + 1
+        assert grown <= per_session_cap * k, (grown, len(graph.ases))
+        pool.close()
 
 
 class TestEngineSessionAPI:

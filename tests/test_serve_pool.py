@@ -17,6 +17,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.asgraph import TopologyConfig, generate_topology
 from repro.asgraph.engine import RoutingEngine
 from repro.serve.api import (
@@ -161,6 +162,33 @@ class TestSessionPool:
         # one of the two was retired on return, exactly once
         assert sum(s.releases for s in engine.sessions) == 1
         assert len(pool) == 1
+
+    def test_duplicate_and_after_close_returns_are_retired_not_evicted(
+        self, tiny_graph
+    ):
+        engine = _CountingEngine()
+        pool = SessionPool(tiny_graph, engine=engine, cap=4)
+        origin = sorted(tiny_graph.ases)[0]
+        recorder = obs.Recorder()
+        previous = obs.set_recorder(recorder)
+        try:
+            with pool.borrow(origin):
+                with pool.borrow(origin):
+                    pass  # both missed; the second return is a duplicate
+            stats = pool.stats()
+            assert (stats.evictions, stats.retired) == (0, 1)
+            with pool.borrow(origin) as resident:
+                pool.close()  # returned after close: retired, not evicted
+        finally:
+            obs.set_recorder(previous)
+        stats = pool.stats()
+        assert (stats.evictions, stats.retired) == (0, 2)
+        assert resident.released
+        counters = recorder.snapshot().counters
+        assert counters.get("serve.pool.evictions", 0) == 0
+        assert counters["serve.pool.retired"] == 2
+        # every session released exactly once
+        assert [s.releases for s in engine.sessions] == [1, 1]
 
     def test_error_path_returns_the_session(self, tiny_graph):
         pool = SessionPool(tiny_graph, engine=RoutingEngine(), cap=4)
