@@ -289,6 +289,16 @@ class ExposureConsumer:
     vendors.  Fully checkpointable: ``state``/``restore`` round-trip the
     trackers, the damping state, and the samples, so a resumed year-scale
     replay produces the identical curve.
+
+    A window costs its records plus the *active* trackers: those observed
+    in it and those whose path still holds an unqualified AS
+    (:meth:`~repro.core.temporal.DwellTracker.pending`).  A tracker whose
+    path ASes have all qualified is no longer advanced until its next
+    observation; since ``qualified`` only grows, advancing it could change
+    only its own frozen ``dwell``/``since``, never ``qualified`` or the
+    samples.  Every unqualified AS's dwell is still summed from the same
+    per-window spans in the same order, so the samples are exactly those
+    of advancing every tracker every window.
     """
 
     def __init__(
@@ -303,6 +313,9 @@ class ExposureConsumer:
         self.rfd = rfd
         self.qualified: set = set()
         self._trackers: Dict[_Key, DwellTracker] = {}
+        #: trackers advanced at the next window end: those observed since
+        #: the last one, plus those still pending after it
+        self._active: Dict[_Key, DwellTracker] = {}
         #: (window end, cumulative qualified-AS count) per window
         self.samples: List[Tuple[float, int]] = []
         self.records = 0
@@ -317,9 +330,10 @@ class ExposureConsumer:
 
     def _observe(self, event: StreamEvent) -> None:
         self.records += 1
-        self._tracker((event.session, event.record.prefix)).observe(
-            event.time, event.record.as_path
-        )
+        key = (event.session, event.record.prefix)
+        tracker = self._tracker(key)
+        tracker.observe(event.time, event.record.as_path)
+        self._active[key] = tracker
 
     def consume(self, window) -> None:
         # Per-key damping is independent across keys, so filtering to the
@@ -337,8 +351,13 @@ class ExposureConsumer:
             for event in window.events:
                 if event.prefix in self.prefixes:
                     self._observe(event)
-        for tracker in self._trackers.values():
+        active = self._active
+        for tracker in active.values():
             tracker.advance(window.end)
+        # Dropped only after every advance: whether a tracker is pending
+        # then depends on the window's final ``qualified``, not on the
+        # order the trackers were advanced in.
+        self._active = {key: t for key, t in active.items() if t.pending()}
         self.samples.append((window.end, len(self.qualified)))
 
     # -- checkpointing -------------------------------------------------------
@@ -374,6 +393,7 @@ class ExposureConsumer:
             tracker = DwellTracker(self.dwell_threshold, qualified=self.qualified)
             tracker.restore(entry)
             self._trackers[key] = tracker
+        self._active = {key: t for key, t in self._trackers.items() if t.pending()}
         if state["rfd"] is not None:
             if self.rfd is None:
                 raise ValueError("checkpoint carries RFD state but consumer has no filter")

@@ -45,7 +45,9 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional,
 
 from repro import obs
 from repro.analysis.prefixes import Prefix
+from repro.asgraph.batch import compute_routes_many
 from repro.asgraph.engine import RoutingEngine, shared_engine
+from repro.asgraph.fastpath import CompactOutcome
 from repro.asgraph.topology import ASGraph
 from repro.bgpsim.collector import (
     Collector,
@@ -318,8 +320,10 @@ class TraceEngine:
         emits with bounded settle/transient delay, so only a small
         horizon is ever buffered).
 
-        Consuming the iterator advances this engine's RNG and caches, so
-        a stream can be opened and drained once per engine run.
+        Every open re-seeds this engine's RNG, so repeated opens (and
+        :meth:`run`/:meth:`run_materialized`) yield the same trace.  The
+        stream folds over the engine's RNG and routing state, so drain one
+        stream before opening the next.
         """
         cfg = self.config
         emitter = _HeapEmitter()
@@ -432,7 +436,10 @@ class TraceEngine:
         is any object with ``append((time, record, session))`` — a plain
         list for the materialized path, a :class:`_HeapEmitter` for the
         streaming path — so both paths consume the RNG identically.
+        Re-seeds the RNG first, so every run of one engine generates the
+        same trace (the one its config-only fingerprint names).
         """
+        self._rng.seed(self.config.seed)
         rng = self._rng
 
         with obs.span("trace.collectors"):
@@ -475,10 +482,20 @@ class TraceEngine:
         }
         current_path: Dict[Tuple[SessionId, Prefix], Optional[Tuple[int, ...]]] = {}
 
-        # t=0: initial table (the month's "first path" baseline).
+        # t=0: initial table (the month's "first path" baseline), every
+        # origin routed in one batched propagation.  Each origin's row
+        # enters the route cache on first use, under the key a per-origin
+        # miss would have filled, so the event loop starts from the same
+        # cache and a cold session pool.
         with obs.span("trace.initial_table"):
+            origins = list(dict.fromkeys(self.prefix_origins.values()))
+            table = dict(zip(origins, compute_routes_many(
+                self.graph, origins, targets=self._vantage_targets
+            )))
             for prefix, origin in self.prefix_origins.items():
-                paths, links = self._vantage_paths(origin, frozenset(), frozenset())
+                paths, links = self._paths_for_key(
+                    origin, frozenset(), initial=table[origin]
+                )
                 self._set_prefix_links(prefix, links)
                 for session in sessions_by_prefix[prefix]:
                     path = paths.get(session[1])
@@ -785,8 +802,15 @@ class TraceEngine:
             relevant = relevant | violated
 
     def _paths_for_key(
-        self, origin: int, excluded: FrozenSet[_Link]
+        self,
+        origin: int,
+        excluded: FrozenSet[_Link],
+        *,
+        initial: Optional[CompactOutcome] = None,
     ) -> Tuple[Dict[int, Optional[Tuple[int, ...]]], FrozenSet[_Link]]:
+        """Cached vantage paths for one key; ``initial``, if given, is the
+        origin's already-computed route set under ``excluded`` and answers
+        a miss in place of a kernel run."""
         key = (origin, excluded)
         cache = self._route_cache
         cached = cache.get(key)
@@ -795,7 +819,9 @@ class TraceEngine:
             cache.move_to_end(key)
             return cached
         obs.add("trace.route_cache.misses")
-        if self._use_sessions:
+        if initial is not None:
+            paths = {v: initial.path(v) for v in self._vantages}
+        elif self._use_sessions:
             # Borrow the origin's warm session, diffed onto this event's
             # exclusion set: unchanged links cost nothing, changed links
             # cost a subtree patch (or a provable no-op) instead of a
@@ -1009,8 +1035,8 @@ class TraceStream:
     immediately; iterating yields the trace's
     :class:`~repro.bgpsim.collector.StreamEvent` records in nondecreasing
     time order, computing routes as it goes.  One-shot: the underlying
-    generator advances the engine's RNG, so a second iteration raises
-    instead of silently producing a different trace.
+    generator advances the engine's RNG, so a second iteration raises;
+    open a new stream (which re-seeds the engine) to replay again.
     """
 
     def __init__(

@@ -79,6 +79,16 @@ class DwellTracker:
         self._credit(time)
         self.since = max(self.since, time)
 
+    def pending(self) -> bool:
+        """True while the current path holds an AS not yet qualified.
+
+        ``qualified`` only grows, so a tracker that is not pending stays
+        so until its next :meth:`observe`: advancing it can change its
+        own ``dwell`` but never ``qualified``.
+        """
+        path = self.current_path
+        return path is not None and not self.qualified.issuperset(path)
+
     def qualified_count(self) -> int:
         return len(self.qualified)
 

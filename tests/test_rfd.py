@@ -1,6 +1,9 @@
 """Tests for the route-flap-damping stream transformer."""
 
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.prefixes import Prefix
 from repro.bgpsim.collector import StreamEvent, UpdateRecord
@@ -216,3 +219,147 @@ class TestExposureConsumer:
             ExposureConsumer([P], rfd=RfdFilter(VENDORS["cisco"])).restore(
                 plain.state()
             )
+
+
+class EagerExposureConsumer(ExposureConsumer):
+    """Reference consumer: advances every tracker at every window end."""
+
+    def consume(self, window) -> None:
+        events = [e for e in window.events if e.prefix in self.prefixes]
+        if self.rfd is not None:
+            events = [out for e in events for out in self.rfd.feed(e)]
+            events.extend(self.rfd.flush(window.end))
+        for event in events:
+            self._observe(event)
+        for tracker in self._trackers.values():
+            tracker.advance(window.end)
+        self.samples.append((window.end, len(self.qualified)))
+
+
+#: 300 / 8: event times and window widths are multiples of this binary
+#: fraction, so dwell sums land exactly on the 300 s threshold
+TICK = 37.5
+UNTRACKED = Prefix.parse("10.2.0.0/24")
+SESSIONS = (("rrc00", 1), ("rrc00", 2))
+
+
+@st.composite
+def replay_cases(draw):
+    widths = draw(st.lists(st.integers(1, 12), min_size=1, max_size=10))
+    ends, total = [], 0
+    for width in widths:
+        total += width
+        ends.append(total * TICK)
+    paths = st.one_of(
+        st.none(),
+        st.lists(st.integers(1, 6), min_size=1, max_size=4).map(tuple),
+        # a prepended path: same AS set, different AS-PATH
+        st.lists(st.integers(1, 6), min_size=1, max_size=3).map(
+            lambda p: tuple(p) + (p[-1],)
+        ),
+    )
+    raw = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, total - 1),
+                st.sampled_from(SESSIONS),
+                st.sampled_from((P, Q, UNTRACKED)),
+                paths,
+            ),
+            max_size=40,
+        )
+    )
+    raw.sort(key=lambda item: item[0])
+    events = [ev(tick * TICK, path, prefix, session) for tick, session, prefix, path in raw]
+    windows, start, i = [], 0.0, 0
+    for index, end in enumerate(ends):
+        chunk = []
+        while i < len(events) and events[i].time < end:
+            chunk.append(events[i])
+            i += 1
+        windows.append(Window(index=index, start=start, end=end, events=chunk))
+        start = end
+    return windows, draw(st.booleans()), draw(st.integers(0, len(windows)))
+
+
+def _consumer(cls, damped):
+    return cls(
+        [P, Q], dwell_threshold=300.0,
+        rfd=RfdFilter(VENDORS["cisco"]) if damped else None,
+    )
+
+
+def _checkpoint(consumer):
+    """The consumer state as a checkpoint file would hold it."""
+    return json.loads(json.dumps(consumer.state()))
+
+
+class TestLazyConsumerMatchesEager:
+    """Advancing only pending trackers must give the eager loop's samples,
+    qualified set and record count, straight or resumed from either
+    consumer's checkpoint."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(case=replay_cases())
+    def test_lazy_equals_eager(self, case):
+        windows, damped, cut = case
+        lazy = _consumer(ExposureConsumer, damped)
+        eager = _consumer(EagerExposureConsumer, damped)
+        lazy_at_cut = eager_at_cut = None
+        for index, window in enumerate(windows):
+            if index == cut:
+                lazy_at_cut, eager_at_cut = _checkpoint(lazy), _checkpoint(eager)
+            lazy.consume(window)
+            eager.consume(window)
+            assert lazy.samples == eager.samples
+            assert lazy.qualified == eager.qualified
+            assert lazy.records == eager.records
+        if cut == len(windows):
+            lazy_at_cut, eager_at_cut = _checkpoint(lazy), _checkpoint(eager)
+
+        for state in (lazy_at_cut, eager_at_cut):
+            resumed = _consumer(ExposureConsumer, damped)
+            resumed.restore(state)
+            for window in windows[cut:]:
+                resumed.consume(window)
+            assert resumed.samples == eager.samples
+            assert resumed.qualified == eager.qualified
+            assert resumed.records == eager.records
+            if state is lazy_at_cut:
+                assert resumed.state() == lazy.state()
+
+    def test_fully_qualified_tracker_is_not_advanced(self):
+        consumer = ExposureConsumer([P], dwell_threshold=300.0)
+        consumer.consume(window_over([ev(0.0, (42, 7, 1))], end=3600.0))
+        assert consumer.qualified == {42, 7, 1}
+        consumer.consume(Window(index=1, start=3600.0, end=7200.0, events=[]))
+        (tracker,) = consumer._trackers.values()
+        # frozen at the window its ASes qualified in; the sample still moves
+        assert tracker.since == 3600.0
+        assert consumer.samples == [(3600.0, 3), (7200.0, 3)]
+        # a new path re-activates it and credits the frozen span first
+        consumer.consume(
+            Window(index=2, start=7200.0, end=10_800.0,
+                   events=[ev(7200.0, (42, 8, 1))])
+        )
+        assert tracker.dwell[7] == 7200.0
+        assert 8 in consumer.qualified
+
+    def test_drop_is_decided_after_every_advance(self):
+        """A tracker whose last unqualified AS another tracker qualifies
+        later in the same window is dropped too, whatever the order."""
+        a, b = ("rrc00", 1), ("rrc00", 2)
+        events = [ev(0.0, (5,), session=a), ev(50.0, (1,), session=b),
+                  ev(100.0, (1,), session=a)]
+        consumer = ExposureConsumer([P], dwell_threshold=300.0)
+        consumer.consume(window_over(events, end=350.0))
+        # a credited AS1 for 250 s only; b qualified it with 300 s
+        assert consumer.qualified == {1}
+        checkpoint = _checkpoint(consumer)
+        quiet = Window(index=1, start=350.0, end=700.0, events=[])
+        consumer.consume(quiet)
+        assert consumer._trackers[(a, P)].since == 350.0
+        resumed = ExposureConsumer([P], dwell_threshold=300.0)
+        resumed.restore(checkpoint)
+        resumed.consume(quiet)
+        assert resumed.state() == consumer.state()

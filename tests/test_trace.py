@@ -5,6 +5,7 @@ import pytest
 from repro.analysis.pathchanges import session_stats, tor_ratio_samples
 from repro.analysis.exposure import extra_as_samples
 from repro.analysis.stats import Ccdf
+from repro.asgraph import batch, compute_routes
 from repro.bgpsim.resets import remove_reset_artifacts
 from repro.bgpsim.trace import TraceConfig, TraceEngine
 
@@ -218,10 +219,10 @@ class TestTraceConfig:
 
 def _short_engine(scenario, **overrides):
     overrides.setdefault("seed", 77)
+    overrides.setdefault("duration_days", 3.0)
     cfg = TraceConfig(
         sessions_per_collector=3,
         collector_names=("rrc00",),
-        duration_days=3.0,
         **overrides,
     )
     return TraceEngine(
@@ -274,3 +275,71 @@ class TestStreamingTrace:
         engine = _short_engine(small_scenario, max_window_events=10)
         with pytest.raises(WindowOverflowError, match="max_window_events=10"):
             engine.run()
+
+
+def _records(stream):
+    return [(e.time, e.session, e.record.prefix, e.record.as_path,
+             e.record.from_reset) for e in stream]
+
+
+class TestRepeatedOpens:
+    def test_reopened_engine_yields_a_fresh_engines_trace(self, small_scenario):
+        """Every open re-seeds the engine, so the trace a checkpoint's
+        fingerprint names is the one every open of the engine yields."""
+        engine = _short_engine(small_scenario, duration_days=1.0)
+        first = _records(engine.open_stream())
+        second = _records(engine.open_stream())
+        fresh = _records(_short_engine(small_scenario, duration_days=1.0).open_stream())
+        assert first
+        assert first == fresh
+        assert second == fresh
+
+
+class TestInitialTable:
+    """The t=0 table comes from one batched kernel call; every record of
+    it must equal the per-origin reference route."""
+
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            pytest.param(
+                "vector",
+                marks=pytest.mark.skipif(
+                    batch.VECTOR_BACKEND != "vector",
+                    reason="vector backend requires numpy",
+                ),
+            ),
+            "loop",
+        ],
+    )
+    def test_day0_records_match_per_origin_routes(
+        self, small_scenario, monkeypatch, backend
+    ):
+        monkeypatch.setattr(batch, "VECTOR_BACKEND", backend)
+        # No core outages, prepends or resets, and flap rates so low that
+        # no TE switch is drawn: every record is a t=0 table record.
+        engine = _short_engine(
+            small_scenario,
+            core_outages_per_day=0.0,
+            prepend_events_per_prefix=0.0,
+            resets_per_session=0.0,
+            background_flaps_median=1e-12,
+            tor_flaps_median=1e-12,
+        )
+        stream = engine.open_stream()
+        assert not stream.events
+        graph, origins = small_scenario.graph, small_scenario.prefix_origins
+        oracle = {origin: compute_routes(graph, [origin]) for origin in set(origins.values())}
+        expected = {
+            (session, prefix): oracle[origins[prefix]].path(session[1])
+            for session in stream.sessions
+            for prefix in stream.session_prefixes[session]
+        }
+        seen = {}
+        for event in stream:
+            key = (event.session, event.record.prefix)
+            assert key not in seen
+            assert event.time < 60.0
+            seen[key] = event.record.as_path
+        assert seen == {k: path for k, path in expected.items() if path is not None}
+        assert len(seen) > 100
